@@ -58,7 +58,6 @@ struct CommonFlags
     std::string registryPath;
     int threads = 1;
     int simThreads = 1;
-    bool evalCache = true;
     bool noFastForward = false;
     /** DSE candidate scoring mode (`--objective=scalar|phase`). */
     dse::DseObjective objective = dse::DseObjective::Scalar;
@@ -173,11 +172,6 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
             flags.sink.traceDetail = true;
             continue;
         }
-        if (arg == "--no-eval-cache") {
-            once("--no-eval-cache");
-            flags.evalCache = false;
-            continue;
-        }
         if (arg == "--no-fast-forward") {
             once("--no-fast-forward");
             flags.noFastForward = true;
@@ -191,7 +185,7 @@ parseCommonFlags(int argc, char **argv, bool allowExtra = false)
                  "' (expected --threads[=]<n>, "
                  "--sim-threads[=]<n>, --trace=<path>, "
                  "--dse-log=<path>, --trace-detail, "
-                 "--no-eval-cache, --no-fast-forward, "
+                 "--no-fast-forward, "
                  "--objective=scalar|phase, "
                  "--stats-interval[=]<n>, "
                  "--stats-jsonl=<path>, or "
@@ -275,7 +269,6 @@ class Harness
         : registryPath(flags.registryPath),
           numThreads(flags.threads),
           numSimThreads(flags.simThreads),
-          useEvalCache(flags.evalCache),
           noFastForward(flags.noFastForward),
           dseObjective(flags.objective)
     {
@@ -316,15 +309,6 @@ class Harness
         return config;
     }
 
-    /**
-     * Whether the DSE evaluation cache is enabled (`--no-eval-cache`
-     * disables it). The cache changes wall-clock only — results are
-     * bit-identical either way (see DESIGN.md "Evaluation cache and
-     * model split") — so the flag exists for A/B timing, not for
-     * correctness workarounds.
-     */
-    bool evalCache() const { return useEvalCache; }
-
     /** Candidate scoring mode (`--objective=scalar|phase`). */
     dse::DseObjective objective() const { return dseObjective; }
 
@@ -351,7 +335,6 @@ class Harness
         options.iterations = iterations;
         options.seed = seed;
         options.threads = numThreads;
-        options.evalCache = useEvalCache;
         options.objective = dseObjective;
         options.sink = sink();
         options.telemetryLabel = label;
@@ -401,7 +384,6 @@ class Harness
     std::string registryPath;
     int numThreads = 1;
     int numSimThreads = 1;
-    bool useEvalCache = true;
     bool noFastForward = false;
     dse::DseObjective dseObjective = dse::DseObjective::Scalar;
 };

@@ -2,20 +2,19 @@
  * @file
  * DSE candidate-evaluation throughput microbenchmark: runs the full
  * annealer on the DSP suite with the default system grids and reports
- * candidate evaluations per second, cache-on vs cache-off, plus the
- * evaluation-cache hit rate and the system-grid pruning count. Writes
- * BENCH_dse_eval.json next to the binary.
+ * candidate evaluations per second (best, median and interquartile
+ * spread over the repetitions) plus the system-grid pruning count.
+ * Writes BENCH_dse_eval.json next to the binary.
  *
  * Methodology: the resource model is trained before any timer starts
  * (training is a one-time cost, not part of candidate evaluation);
- * each configuration runs several repetitions of an identical seeded
- * exploration and the best (minimum-time) repetition is the headline
- * number — a 30 ms exploration is easily perturbed by the OS, and the
- * least-disturbed run is the truest measure of the code. The bench
- * asserts that every repetition and both cache settings reach the
- * same objective: the cache and the factored perf model change
- * wall-clock, never the trajectory (DESIGN.md "Evaluation cache and
- * model split").
+ * the bench runs several repetitions of an identical seeded
+ * exploration. A 30 ms exploration is easily perturbed by the OS, so
+ * the best repetition is the least-disturbed measure of the code and
+ * the quartiles say how far to trust it. The bench asserts that every
+ * repetition reaches the same objective: the factored perf model
+ * changes wall-clock, never the trajectory (DESIGN.md "Model split
+ * and grid pruning").
  */
 
 #include <chrono>
@@ -24,78 +23,10 @@
 #include "common.h"
 
 #include "common/json.h"
+#include "common/stats.h"
 #include "model/resource_model.h"
 
 using namespace overgen;
-
-namespace {
-
-struct Measurement
-{
-    double bestEvalsPerSec = 0.0;
-    double meanEvalsPerSec = 0.0;
-    double objective = 0.0;
-    int evaluated = 0;
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
-    uint64_t gridPruned = 0;
-};
-
-Measurement
-measure(const bench::Harness &harness, bool cache_on, int iterations,
-        int reps)
-{
-    std::vector<wl::KernelSpec> domain = wl::dspSuite();
-    Measurement m;
-    double total_eps = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        dse::DseOptions options =
-            harness.dseOptions(iterations, 11, "micro_dse_eval");
-        options.evalCache = cache_on;
-        auto t0 = std::chrono::steady_clock::now();
-        dse::DseResult result = dse::exploreOverlay(domain, options);
-        double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        double eps = result.evaluated / seconds;
-        total_eps += eps;
-        if (rep == 0) {
-            m.objective = result.objective;
-            m.evaluated = result.evaluated;
-        } else {
-            OG_ASSERT(result.objective == m.objective,
-                      "trajectory drifted between repetitions");
-        }
-        if (eps > m.bestEvalsPerSec) {
-            m.bestEvalsPerSec = eps;
-            m.cacheHits = result.cacheHits;
-            m.cacheMisses = result.cacheMisses;
-            m.cacheEvictions = result.cacheEvictions;
-            m.gridPruned = result.gridPruned;
-        }
-    }
-    m.meanEvalsPerSec = total_eps / reps;
-    return m;
-}
-
-Json
-toJson(const Measurement &m)
-{
-    Json obj = Json::makeObject();
-    obj.set("best_evals_per_sec", Json(m.bestEvalsPerSec));
-    obj.set("mean_evals_per_sec", Json(m.meanEvalsPerSec));
-    obj.set("objective", Json(m.objective));
-    obj.set("evaluated", Json(m.evaluated));
-    obj.set("cache_hits", Json(m.cacheHits));
-    obj.set("cache_misses", Json(m.cacheMisses));
-    obj.set("cache_evictions", Json(m.cacheEvictions));
-    obj.set("grid_pruned", Json(m.gridPruned));
-    return obj;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -110,36 +41,40 @@ main(int argc, char **argv)
     (void)model::FpgaResourceModel::defaultModel();
 
     const int iterations = bench::benchIterations(40);
-    const int reps = 5;
-    Measurement on = measure(harness, true, iterations, reps);
-    Measurement off = measure(harness, false, iterations, reps);
+    const int reps = 7;
+    const std::vector<wl::KernelSpec> domain = wl::dspSuite();
+    std::vector<double> evals_per_sec;
+    dse::DseResult first;
+    for (int rep = 0; rep < reps; ++rep) {
+        dse::DseOptions options =
+            harness.dseOptions(iterations, 11, "micro_dse_eval");
+        auto t0 = std::chrono::steady_clock::now();
+        dse::DseResult result = dse::exploreOverlay(domain, options);
+        double seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        evals_per_sec.push_back(result.evaluated / seconds);
+        if (rep == 0)
+            first = std::move(result);
+        else
+            OG_ASSERT(result.objective == first.objective,
+                      "trajectory drifted between repetitions");
+    }
+    const double best = percentile(evals_per_sec, 100.0);
+    const double median = percentile(evals_per_sec, 50.0);
+    const double q1 = percentile(evals_per_sec, 25.0);
+    const double q3 = percentile(evals_per_sec, 75.0);
 
-    OG_ASSERT(on.objective == off.objective,
-              "evaluation cache changed the trajectory");
-
-    double hit_rate =
-        on.cacheHits + on.cacheMisses > 0
-            ? static_cast<double>(on.cacheHits) /
-                  static_cast<double>(on.cacheHits + on.cacheMisses)
-            : 0.0;
     std::printf("\nconfig: seed=11 iterations=%d threads=%d reps=%d\n",
                 iterations, harness.threads(), reps);
-    std::printf("%-12s %14s %14s %12s\n", "cache", "best evals/s",
-                "mean evals/s", "objective");
-    std::printf("%-12s %14.1f %14.1f %12.6f\n", "on",
-                on.bestEvalsPerSec, on.meanEvalsPerSec, on.objective);
-    std::printf("%-12s %14.1f %14.1f %12.6f\n", "off",
-                off.bestEvalsPerSec, off.meanEvalsPerSec,
-                off.objective);
-    std::printf("cache traffic: %llu hits / %llu misses "
-                "(%.1f%% hit rate), %llu evictions\n",
-                static_cast<unsigned long long>(on.cacheHits),
-                static_cast<unsigned long long>(on.cacheMisses),
-                hit_rate * 100.0,
-                static_cast<unsigned long long>(on.cacheEvictions));
+    std::printf("%15s %15s %15s %12s\n", "best evals/s",
+                "median evals/s", "IQR evals/s", "objective");
+    std::printf("%15.1f %15.1f %15.1f %12.6f\n", best, median, q3 - q1,
+                first.objective);
     std::printf("system grid: %llu points pruned by monotone "
                 "resource bounds\n",
-                static_cast<unsigned long long>(on.gridPruned));
+                static_cast<unsigned long long>(first.gridPruned));
 
     Json report = Json::makeObject();
     report.set("bench", Json("micro_dse_eval"));
@@ -148,8 +83,13 @@ main(int argc, char **argv)
     report.set("iterations", Json(iterations));
     report.set("threads", Json(harness.threads()));
     report.set("reps", Json(reps));
-    report.set("cache_on", toJson(on));
-    report.set("cache_off", toJson(off));
+    report.set("best_evals_per_sec", Json(best));
+    report.set("median_evals_per_sec", Json(median));
+    report.set("q1_evals_per_sec", Json(q1));
+    report.set("q3_evals_per_sec", Json(q3));
+    report.set("objective", Json(first.objective));
+    report.set("evaluated", Json(first.evaluated));
+    report.set("grid_pruned", Json(first.gridPruned));
     std::string text = report.dump(2);
     const char *path = "BENCH_dse_eval.json";
     std::FILE *f = std::fopen(path, "w");

@@ -19,6 +19,7 @@
 
 #include "common.h"
 
+#include "common/hash.h"
 #include "common/stats.h"
 #include "library/service.h"
 
@@ -26,21 +27,11 @@ using namespace overgen;
 
 namespace {
 
-/** splitmix64: the trace generator's own deterministic stream. */
-uint64_t
-nextRand(uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 double
 nextUnit(uint64_t &state)
 {
-    return static_cast<double>(nextRand(state) >> 11) * 0x1.0p-53;
+    return static_cast<double>(hash::splitmix64(state) >> 11) *
+           0x1.0p-53;
 }
 
 /**
@@ -57,7 +48,7 @@ makeTrace(size_t count, uint64_t seed)
         names.push_back(spec.name);
     uint64_t state = seed;
     for (size_t i = names.size(); i > 1; --i)
-        std::swap(names[i - 1], names[nextRand(state) % i]);
+        std::swap(names[i - 1], names[hash::splitmix64(state) % i]);
 
     const double alpha = 1.1;
     std::vector<double> cdf(names.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace overgen::adg {
@@ -382,15 +383,7 @@ Adg::validate() const
 
 namespace {
 
-/** splitmix64 finalizer: full-avalanche mixing of one 64-bit word. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using hash::mix64;
 
 /** Incremental item hasher: absorb words, then finalize. */
 class ItemHash

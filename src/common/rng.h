@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace overgen {
@@ -25,7 +26,7 @@ class Rng
     {
         uint64_t x = seed;
         for (auto &word : state)
-            word = splitmix64(x);
+            word = hash::splitmix64(x);
     }
 
     /** @return the next raw 64-bit value. */
@@ -106,16 +107,6 @@ class Rng
     rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
-    }
-
-    static uint64_t
-    splitmix64(uint64_t &x)
-    {
-        x += 0x9e3779b97f4a7c15ull;
-        uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
     }
 
     uint64_t state[4];

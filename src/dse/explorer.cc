@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "adg/builders.h"
 #include "common/logging.h"
@@ -12,7 +11,6 @@
 #include "common/stats.h"
 #include "sim/batch.h"
 #include "compiler/compile.h"
-#include "dse/eval_cache.h"
 #include "dse/mutations.h"
 #include "dse/sim_cache.h"
 #include "model/oracle.h"
@@ -169,32 +167,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         }
         return cand;
     };
-
-    // Evaluation cache (see eval_cache.h): schedule-all results are
-    // scoped to the current base design via `epoch` (bumped on every
-    // acceptance — the scheduler's repair path reads `current`);
-    // tile resource vectors are pure in the ADG and epoch-free.
-    std::unique_ptr<EvalCache> cache;
-    if (options.evalCache)
-        cache = std::make_unique<EvalCache>(options.evalCacheEntries);
-    uint64_t epoch = 0;
-    auto cache_key = [](const adg::Adg &adg) {
-        auto [a, b] =
-            adg.fingerprintPair(0, 0x517cc1b727220a95ull);
-        return EvalCache::Key{ a, b };
-    };
-    auto tile_resources =
-        [&](const adg::Adg &adg,
-            const std::optional<EvalCache::Key> &key) {
-            if (key) {
-                if (auto hit = cache->findResources(*key))
-                    return *hit;
-            }
-            model::Resources res = prices.tileResources(adg);
-            if (key)
-                cache->storeResources(*key, res);
-            return res;
-        };
 
     // System-grid axes, ascending: resources are monotone in each
     // axis, so once a point exceeds the budget the rest of its axis
@@ -363,63 +335,29 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // lambda because schedule repair reads its schedules.
     Candidate current;
 
-    // Full candidate evaluation: fingerprint -> (cached or fresh)
-    // schedule-all -> (cached or fresh) tile resources -> system DSE.
-    // Infeasibility (unschedulable kernel) is cached too.
+    // Full candidate evaluation: schedule-all -> tile resources ->
+    // system DSE.
     auto evaluate_candidate =
         [&](adg::Adg mutated) -> std::optional<Candidate> {
-        std::optional<EvalCache::Key> key;
-        if (cache)
-            key = cache_key(mutated);
-        std::optional<Candidate> cand;
-        bool sched_cached = false;
-        if (key) {
-            if (auto hit = cache->findScheduleAll(*key, epoch)) {
-                sched_cached = true;
-                if (hit->feasible) {
-                    Candidate c;
-                    c.adg = std::move(mutated);
-                    c.schedules = std::move(hit->schedules);
-                    c.variantIndex = std::move(hit->variantIndex);
-                    cand = std::move(c);
-                }
-            }
-        }
-        if (!sched_cached) {
-            cand = schedule_all(std::move(mutated), &current);
-            if (key) {
-                CachedScheduleAll entry;
-                entry.feasible = cand.has_value();
-                if (cand) {
-                    entry.schedules = cand->schedules;
-                    entry.variantIndex = cand->variantIndex;
-                }
-                cache->storeScheduleAll(*key, epoch, entry);
-            }
-        }
-        if (!cand)
-            return std::nullopt;
-        if (!system_dse(*cand, tile_resources(cand->adg, key)))
+        std::optional<Candidate> cand =
+            schedule_all(std::move(mutated), &current);
+        if (!cand ||
+            !system_dse(*cand, prices.tileResources(cand->adg)))
             return std::nullopt;
         return cand;
     };
 
     DseResult result;
 
-    // Seed. Scheduled outside the cache (no base design to repair
-    // from yet); bumping the epoch afterwards keeps later lookups
-    // from ever aliasing this prior-less evaluation.
+    // Seed: no base design to repair from yet.
     {
         auto seeded = schedule_all(seedTile(kernels), nullptr);
         OG_ASSERT(seeded.has_value(),
                   "seed tile cannot host the domain");
         current = std::move(*seeded);
-        std::optional<EvalCache::Key> key;
-        if (cache)
-            key = cache_key(current.adg);
-        bool ok = system_dse(current, tile_resources(current.adg, key));
+        bool ok =
+            system_dse(current, prices.tileResources(current.adg));
         OG_ASSERT(ok, "seed design exceeds the device budget");
-        epoch = 1;
     }
     Candidate best = current;
     result.convergence.push_back(
@@ -469,24 +407,10 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                    Json(state.phaseSteadyFracMean));
         record.set("phases", std::move(phases));
         // Cumulative at the round barrier, so deterministic across
-        // thread counts and cache settings.
+        // thread counts.
         record.set("grid_pruned",
                    Json(static_cast<int64_t>(
                        grid_pruned.load(std::memory_order_relaxed))));
-        // Cache traffic is wall-clock-flavored observability (racing
-        // workers shift the hit/miss split): consumers comparing
-        // trajectories must strip it, like "seconds".
-        if (cache != nullptr) {
-            EvalCacheStats stats = cache->stats();
-            Json traffic = Json::makeObject();
-            traffic.set("hits",
-                        Json(static_cast<int64_t>(stats.hits)));
-            traffic.set("misses",
-                        Json(static_cast<int64_t>(stats.misses)));
-            traffic.set("evictions",
-                        Json(static_cast<int64_t>(stats.evictions)));
-            record.set("cache", std::move(traffic));
-        }
         Json kinds = Json::makeArray();
         for (MutationKind kind : edits)
             kinds.push(Json(mutationKindName(kind)));
@@ -520,7 +444,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // Round-granular heartbeat: everything in it is round-barrier
     // state (deterministic across thread counts) except the
     // wall-clock-flavored rate fields, which trajectory comparisons
-    // strip exactly like "seconds" and "cache".
+    // strip exactly like "seconds".
     int round = 0;
     auto log_heartbeat = [&](int iter, double temperature,
                              bool force) {
@@ -556,15 +480,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                             ? static_cast<double>(result.evaluated) /
                                   seconds
                             : 0.0));
-        if (cache != nullptr) {
-            EvalCacheStats stats = cache->stats();
-            uint64_t lookups = stats.hits + stats.misses;
-            record.set("cache_hit_rate",
-                       Json(lookups > 0
-                                ? static_cast<double>(stats.hits) /
-                                      static_cast<double>(lookups)
-                                : 0.0));
-        }
         sink->logDse(record);
     };
 
@@ -624,9 +539,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                 ev.rng.nextDouble() < std::exp(delta / temperature);
             if (accept) {
                 current = std::move(*ev.cand);
-                // The base design changed: schedule-repair results
-                // keyed to the old base are no longer reachable.
-                ++epoch;
                 ++result.accepted;
                 if (current.objective > best.objective)
                     best = current;
@@ -833,18 +745,9 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         }
     }
     result.gridPruned = grid_pruned.load(std::memory_order_relaxed);
-    if (cache != nullptr) {
-        EvalCacheStats stats = cache->stats();
-        result.cacheHits = stats.hits;
-        result.cacheMisses = stats.misses;
-        result.cacheEvictions = stats.evictions;
-    }
     if (sink != nullptr) {
         telemetry::Registry &reg = sink->registry();
         reg.counter("dse/grid/pruned").add(result.gridPruned);
-        reg.counter("dse/cache/hits").add(result.cacheHits);
-        reg.counter("dse/cache/misses").add(result.cacheMisses);
-        reg.counter("dse/cache/evictions").add(result.cacheEvictions);
     }
     result.elapsedSeconds = secondsSince(start);
     return result;

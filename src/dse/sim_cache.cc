@@ -1,38 +1,26 @@
 #include "dse/sim_cache.h"
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace overgen::dse {
 
 namespace {
 
-/** Salts mirroring EvalCache's double-fingerprint keying. */
+/** Salts of the tile ADG's double fingerprint in the key: two
+ * independent 64-bit fingerprints, so a false hit needs both to
+ * collide at once. */
 constexpr uint64_t kAdgSaltA = 0x5bf03635d1c2b9f3ull;
 constexpr uint64_t kAdgSaltB = 0xa24baed4963ee407ull;
 
-class Fnv
+/** Length-prefixed string, one word per character. */
+void
+mixString(hash::Fnv64 &f, const std::string &s)
 {
-  public:
-    void
-    mix(uint64_t v)
-    {
-        h ^= v;
-        h *= 1099511628211ull;
-    }
-
-    void
-    mixString(const std::string &s)
-    {
-        mix(s.size());
-        for (char c : s)
-            mix(static_cast<uint8_t>(c));
-    }
-
-    uint64_t value() const { return h; }
-
-  private:
-    uint64_t h = 1469598103934665603ull;
-};
+    f.mix(s.size());
+    for (char c : s)
+        f.mix(static_cast<uint8_t>(c));
+}
 
 } // namespace
 
@@ -85,10 +73,10 @@ simKeyDigest(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
              const adg::SysAdg &design,
              const sim::SimConfig &config)
 {
-    Fnv f;
+    hash::Fnv64 f;
     // Workload shape: the name alone does not pin trip counts or
     // array sizes (suites build the same kernel at many sizes).
-    f.mixString(spec.name);
+    mixString(f, spec.name);
     f.mix(spec.loops.size());
     for (const auto &loop : spec.loops) {
         f.mix(static_cast<uint64_t>(loop.tripBase));
@@ -98,13 +86,13 @@ simKeyDigest(const wl::KernelSpec &spec, const dfg::Mdfg &mdfg,
     }
     f.mix(spec.arrays.size());
     for (const auto &array : spec.arrays) {
-        f.mixString(array.name);
+        mixString(f, array.name);
         f.mix(static_cast<uint64_t>(array.type));
         f.mix(static_cast<uint64_t>(array.elements));
     }
     // Chosen variant.
-    f.mixString(mdfg.name);
-    f.mixString(schedule.mdfgName);
+    mixString(f, mdfg.name);
+    mixString(f, schedule.mdfgName);
     // Design: double-salted tile fingerprint + system parameters.
     auto fp = design.adg.fingerprintPair(kAdgSaltA, kAdgSaltB);
     f.mix(fp.first);

@@ -24,10 +24,10 @@
  *    precisely so a probe checkpoint stays valid under a larger
  *    budget.
  *
- * Determinism contract (same shape as EvalCache): every cached value
- * was produced by the computation a miss would run, so warmSimulate
- * returns bit-identical SimResults with the cache hot, cold, or
- * disabled — only wall-clock changes.
+ * Determinism contract: every cached value was produced by the
+ * computation a miss would run, so warmSimulate returns bit-identical
+ * SimResults with the cache hot, cold, or disabled — only wall-clock
+ * changes.
  *
  * Thread safety: one mutex guards the table; concurrent misses of
  * the same key both simulate and both store identical values.

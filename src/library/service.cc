@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "dse/explorer.h"
 #include "model/resource_model.h"
@@ -13,15 +14,6 @@
 namespace overgen::library {
 
 namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 wl::KernelSpec
 resolveSpec(const std::string &workload, bool smallSize)
@@ -35,14 +27,9 @@ resolveSpec(const std::string &workload, bool smallSize)
 uint64_t
 LibraryService::warmSeedFor(const std::string &workload, uint64_t salt)
 {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    for (char c : workload) {
-        h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-        h *= 1099511628211ull;
-    }
     // DseOptions::seed feeds splitmix expansion, so 0 is legal, but
     // avoid it anyway: a zero seed reads as "unset" in entry JSON.
-    uint64_t seed = mix64(h ^ salt);
+    uint64_t seed = hash::mix64(hash::fnv1a(workload) ^ salt);
     return seed == 0 ? 1 : seed;
 }
 

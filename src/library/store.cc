@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/hex.h"
 #include "common/logging.h"
 
@@ -10,30 +11,20 @@ namespace overgen::library {
 
 namespace {
 
-/** Library fingerprint salts — distinct from the DSE eval cache's
- * (0 and 0x517cc1b727220a95), so a hypothetical collision in one
- * keyspace cannot leak into the other. */
+/** Library fingerprint salts — distinct from the warm-sim cache's
+ * (dse/sim_cache.cc), so a hypothetical collision in one keyspace
+ * cannot leak into the other. */
 constexpr uint64_t kSaltA = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kSaltB = 0xd1b54a32d192ed03ull;
-
-/** splitmix64-style finalizer for mixing system params in. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 uint64_t
 systemParamsHash(const adg::SystemParams &sys)
 {
-    uint64_t h = mix64(static_cast<uint64_t>(sys.numTiles));
-    h = mix64(h ^ static_cast<uint64_t>(sys.l2Banks));
-    h = mix64(h ^ static_cast<uint64_t>(sys.l2CapacityKiB));
-    h = mix64(h ^ static_cast<uint64_t>(sys.nocBytes));
-    h = mix64(h ^ static_cast<uint64_t>(sys.dramChannels));
+    uint64_t h = hash::mix64(static_cast<uint64_t>(sys.numTiles));
+    h = hash::mix64(h ^ static_cast<uint64_t>(sys.l2Banks));
+    h = hash::mix64(h ^ static_cast<uint64_t>(sys.l2CapacityKiB));
+    h = hash::mix64(h ^ static_cast<uint64_t>(sys.nocBytes));
+    h = hash::mix64(h ^ static_cast<uint64_t>(sys.dramChannels));
     return h;
 }
 
@@ -266,8 +257,8 @@ fingerprintDesign(const adg::SysAdg &design)
     std::pair<uint64_t, uint64_t> fp =
         design.adg.fingerprintPair(kSaltA, kSaltB);
     uint64_t sysHash = systemParamsHash(design.sys);
-    return { mix64(fp.first ^ sysHash),
-             mix64(fp.second ^ mix64(sysHash)) };
+    return { hash::mix64(fp.first ^ sysHash),
+             hash::mix64(fp.second ^ hash::mix64(sysHash)) };
 }
 
 size_t

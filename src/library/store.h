@@ -120,7 +120,7 @@ adg::SysAdg canonicalDesign(const adg::SysAdg &design);
 /**
  * Double-salted library fingerprint of a canonical design: the tile
  * ADG's structural fingerprintPair under library-specific salts
- * (distinct from the DSE eval cache's), mixed with a hash of the
+ * (distinct from the warm-sim cache's), mixed with a hash of the
  * system parameters — two entries differing only in tile count or L2
  * geometry fingerprint differently.
  */

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "sim/snapshot.h"
 #include "telemetry/sink.h"
@@ -713,27 +714,23 @@ MemorySystem::drainDigest() const
     // quiescenceFingerprint, nothing is excluded — budgets, deferred
     // expiry state, stall counters, the ledger and the clock must all
     // match the per-cycle ground truth exactly.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    auto mix_double = [&mix](double d) {
-        mix(std::bit_cast<uint64_t>(d));
+    hash::Fnv64 h;
+    auto mix_double = [&h](double d) {
+        h.mix(std::bit_cast<uint64_t>(d));
     };
     auto mix_queue = [&](const TxnQueue &q) {
-        mix(q.size());
+        h.mix(q.size());
         for (size_t i = 0; i < q.size(); ++i) {
-            mix(static_cast<uint64_t>(q.idAt(i)));
-            mix(q.addrAt(i));
-            mix(static_cast<uint64_t>(q.bytesAt(i)));
-            mix(static_cast<uint64_t>(q.writeAt(i)));
+            h.mix(static_cast<uint64_t>(q.idAt(i)));
+            h.mix(q.addrAt(i));
+            h.mix(static_cast<uint64_t>(q.bytesAt(i)));
+            h.mix(static_cast<uint64_t>(q.writeAt(i)));
         }
     };
-    mix(cycle);
-    mix(static_cast<uint64_t>(nextId));
-    mix(progressEvents);
-    mix(inFlightCount);
+    h.mix(cycle);
+    h.mix(static_cast<uint64_t>(nextId));
+    h.mix(progressEvents);
+    h.mix(inFlightCount);
     for (size_t t = 0; t < tileLink.size(); ++t) {
         mix_queue(tileLink[t]);
         mix_double(tileLinkBudget[t]);
@@ -743,29 +740,29 @@ MemorySystem::drainDigest() const
     for (const Bank &bank : banks) {
         mix_queue(bank.queue);
         mix_queue(bank.dramQueue);
-        mix(bank.fillReady.size());
+        h.mix(bank.fillReady.size());
         for (size_t i = 0; i < bank.fillReady.size(); ++i) {
-            mix(bank.fillReady[i].line);
-            mix(bank.fillReady[i].ready);
+            h.mix(bank.fillReady[i].line);
+            h.mix(bank.fillReady[i].ready);
         }
-        mix(static_cast<uint64_t>(bank.writebackBytes));
-        mix(static_cast<uint64_t>(bank.mshrsInUse));
+        h.mix(static_cast<uint64_t>(bank.writebackBytes));
+        h.mix(static_cast<uint64_t>(bank.mshrsInUse));
         mix_double(bank.byteBudget);
     }
     for (const auto &[id, ready] : completed) {
-        mix(static_cast<uint64_t>(id));
-        mix(ready);
+        h.mix(static_cast<uint64_t>(id));
+        h.mix(ready);
     }
-    mix(memStats.l2Hits);
-    mix(memStats.l2Misses);
-    mix(memStats.dramBytesRead);
-    mix(memStats.dramBytesWritten);
-    mix(memStats.nocBytes);
-    mix(memStats.mshrStallCycles);
-    mix(memStats.peakOutstandingTxns);
+    h.mix(memStats.l2Hits);
+    h.mix(memStats.l2Misses);
+    h.mix(memStats.dramBytesRead);
+    h.mix(memStats.dramBytesWritten);
+    h.mix(memStats.nocBytes);
+    h.mix(memStats.mshrStallCycles);
+    h.mix(memStats.peakOutstandingTxns);
     for (uint64_t c : memStats.ledger.counts)
-        mix(c);
-    return h;
+        h.mix(c);
+    return h.value();
 }
 
 uint64_t
@@ -775,28 +772,24 @@ MemorySystem::quiescenceFingerprint() const
     // is deferred under fast-forward), mshrStallCycles and the cycle
     // ledger (both replayed in closed form by fastForward), and the
     // clock itself.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
+    hash::Fnv64 h;
     for (const auto &link : tileLink)
-        mix(link.size());
+        h.mix(link.size());
     for (const Bank &bank : banks) {
-        mix(bank.queue.size());
-        mix(bank.dramQueue.size());
-        mix(static_cast<uint64_t>(bank.writebackBytes));
+        h.mix(bank.queue.size());
+        h.mix(bank.dramQueue.size());
+        h.mix(static_cast<uint64_t>(bank.writebackBytes));
     }
-    mix(inFlightCount);
-    mix(completed.size());
-    mix(static_cast<uint64_t>(nextId));
-    mix(memStats.l2Hits);
-    mix(memStats.l2Misses);
-    mix(memStats.dramBytesRead);
-    mix(memStats.dramBytesWritten);
-    mix(memStats.nocBytes);
-    mix(memStats.peakOutstandingTxns);
-    return h;
+    h.mix(inFlightCount);
+    h.mix(completed.size());
+    h.mix(static_cast<uint64_t>(nextId));
+    h.mix(memStats.l2Hits);
+    h.mix(memStats.l2Misses);
+    h.mix(memStats.dramBytesRead);
+    h.mix(memStats.dramBytesWritten);
+    h.mix(memStats.nocBytes);
+    h.mix(memStats.peakOutstandingTxns);
+    return h.value();
 }
 
 void

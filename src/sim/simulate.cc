@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "sim/engine.h"
 #include "telemetry/sink.h"
@@ -12,26 +13,22 @@ namespace overgen::sim {
 uint64_t
 configDigest(const SimConfig &config)
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(static_cast<uint64_t>(config.cacheLineBytes));
-    mix(static_cast<uint64_t>(config.l2HitLatency));
-    mix(static_cast<uint64_t>(config.l2Ways));
-    mix(static_cast<uint64_t>(config.l2MshrsPerBank));
-    mix(static_cast<uint64_t>(config.dramLatency));
-    mix(static_cast<uint64_t>(config.dramChannelBandwidthBytes));
-    mix(static_cast<uint64_t>(config.l2BankBandwidthBytes));
-    mix(static_cast<uint64_t>(config.configCyclesPerStream));
-    mix(static_cast<uint64_t>(config.dispatchLatency));
-    mix(static_cast<uint64_t>(config.dispatchBusStages));
-    mix(static_cast<uint64_t>(config.spadLatency));
-    mix(static_cast<uint64_t>(config.oneHotBypass));
-    mix(static_cast<uint64_t>(config.recurrenceLatency));
-    mix(config.deadlockCycles);
-    return h;
+    hash::Fnv64 h;
+    h.mix(static_cast<uint64_t>(config.cacheLineBytes));
+    h.mix(static_cast<uint64_t>(config.l2HitLatency));
+    h.mix(static_cast<uint64_t>(config.l2Ways));
+    h.mix(static_cast<uint64_t>(config.l2MshrsPerBank));
+    h.mix(static_cast<uint64_t>(config.dramLatency));
+    h.mix(static_cast<uint64_t>(config.dramChannelBandwidthBytes));
+    h.mix(static_cast<uint64_t>(config.l2BankBandwidthBytes));
+    h.mix(static_cast<uint64_t>(config.configCyclesPerStream));
+    h.mix(static_cast<uint64_t>(config.dispatchLatency));
+    h.mix(static_cast<uint64_t>(config.dispatchBusStages));
+    h.mix(static_cast<uint64_t>(config.spadLatency));
+    h.mix(static_cast<uint64_t>(config.oneHotBypass));
+    h.mix(static_cast<uint64_t>(config.recurrenceLatency));
+    h.mix(config.deadlockCycles);
+    return h.value();
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace overgen::sim {
@@ -12,15 +13,11 @@ namespace {
 /** Header of an encode() image: magic, version, digest pair. */
 constexpr char kMagic[8] = { 'O', 'G', 'S', 'N', 'A', 'P', '0', '1' };
 
+/** FNV-1a over @p bytes, salted through the offset basis. */
 uint64_t
-fnv1a(const std::vector<uint8_t> &bytes, uint64_t salt)
+saltedFnv1a(const std::vector<uint8_t> &bytes, uint64_t salt)
 {
-    uint64_t h = 1469598103934665603ull ^ salt;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return hash::fnv1a(bytes, hash::kDigestBasis ^ salt);
 }
 
 /** Independent salts for the two digest passes (arbitrary odd
@@ -136,8 +133,8 @@ void
 Snapshot::seal()
 {
     OG_ASSERT(!sealed, "snapshot sealed twice");
-    digestLo = fnv1a(payload, kSaltLo);
-    digestHi = fnv1a(payload, kSaltHi);
+    digestLo = saltedFnv1a(payload, kSaltLo);
+    digestHi = saltedFnv1a(payload, kSaltHi);
     sealed = true;
     rpos = 0;
 }
@@ -145,15 +142,15 @@ Snapshot::seal()
 bool
 Snapshot::verify() const
 {
-    return sealed && digestLo == fnv1a(payload, kSaltLo) &&
-           digestHi == fnv1a(payload, kSaltHi);
+    return sealed && digestLo == saltedFnv1a(payload, kSaltLo) &&
+           digestHi == saltedFnv1a(payload, kSaltHi);
 }
 
 uint64_t
 Snapshot::digest() const
 {
     OG_ASSERT(sealed, "digest of an unsealed snapshot");
-    return digestLo ^ (digestHi * 1099511628211ull);
+    return digestLo ^ (digestHi * hash::kFnvPrime);
 }
 
 std::vector<uint8_t>

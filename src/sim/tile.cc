@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/ring.h"
 #include "sim/snapshot.h"
@@ -1217,37 +1218,33 @@ TileSim::Impl::fingerprint() const
     // Excluded on purpose (legal drift in a skipped range): engine
     // byte budgets, the issue toggle, fabric stall counts, and the
     // cycle ledger (accrued in closed form over skipped windows).
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(stats.firings);
-    mix(stats.iterations);
-    mix(stats.spadBytes);
-    mix(stats.dmaBytes);
-    mix(stats.recurrenceBytes);
-    mix(stats.finishCycle);
-    mix(static_cast<uint64_t>(finished));
-    mix(static_cast<uint64_t>(fabricWalker.done()));
+    hash::Fnv64 h;
+    h.mix(stats.firings);
+    h.mix(stats.iterations);
+    h.mix(stats.spadBytes);
+    h.mix(stats.dmaBytes);
+    h.mix(stats.recurrenceBytes);
+    h.mix(stats.finishCycle);
+    h.mix(static_cast<uint64_t>(finished));
+    h.mix(static_cast<uint64_t>(fabricWalker.done()));
     for (const auto &rt : streams) {
-        mix(static_cast<uint64_t>(rt->port.available));
-        mix(static_cast<uint64_t>(rt->port.pending));
-        mix(rt->port.arrivals.size());
-        mix(static_cast<uint64_t>(rt->firingRemaining));
-        mix(static_cast<uint64_t>(rt->issuedElems));
-        mix(static_cast<uint64_t>(rt->drainedElems));
-        mix(static_cast<uint64_t>(rt->indexAvail));
-        mix(static_cast<uint64_t>(rt->recPool));
-        mix(static_cast<uint64_t>(rt->recInitialRemaining));
-        mix(static_cast<uint64_t>(rt->tapsDelivered));
-        mix(static_cast<uint64_t>(rt->engineDone));
+        h.mix(static_cast<uint64_t>(rt->port.available));
+        h.mix(static_cast<uint64_t>(rt->port.pending));
+        h.mix(rt->port.arrivals.size());
+        h.mix(static_cast<uint64_t>(rt->firingRemaining));
+        h.mix(static_cast<uint64_t>(rt->issuedElems));
+        h.mix(static_cast<uint64_t>(rt->drainedElems));
+        h.mix(static_cast<uint64_t>(rt->indexAvail));
+        h.mix(static_cast<uint64_t>(rt->recPool));
+        h.mix(static_cast<uint64_t>(rt->recInitialRemaining));
+        h.mix(static_cast<uint64_t>(rt->tapsDelivered));
+        h.mix(static_cast<uint64_t>(rt->engineDone));
     }
     for (const auto &[engine_id, engine] : engines) {
-        mix(engine.outstanding.size());
-        mix(engine.rrNext);
+        h.mix(engine.outstanding.size());
+        h.mix(engine.rrNext);
     }
-    return h;
+    return h.value();
 }
 
 void

@@ -2,25 +2,10 @@
 
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace overgen::wl {
-
-namespace {
-
-/** FNV-1a hash for deterministic per-array initialization. */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
 
 void
 Memory::init(const KernelSpec &spec, uint64_t seed)
@@ -28,7 +13,7 @@ Memory::init(const KernelSpec &spec, uint64_t seed)
     arrays.clear();
     for (const ArraySpec &a : spec.arrays) {
         std::vector<double> data(static_cast<size_t>(a.elements));
-        uint64_t h = fnv1a(a.name) ^ (seed * 0x9e3779b97f4a7c15ull);
+        uint64_t h = hash::fnv1a(a.name) ^ (seed * 0x9e3779b97f4a7c15ull);
         if (a.isIndex) {
             int64_t target = spec.arrayByName(a.indexTarget).elements;
             for (size_t i = 0; i < data.size(); ++i) {
