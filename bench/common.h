@@ -691,14 +691,18 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-/** Print a standard bench header. */
+/** Print a standard bench header. It names OVERGEN_BENCH_ITERS only
+ * when the variable is set: each harness has its own default budget
+ * (see its benchIterations() fallback). */
 inline void
 banner(const char *experiment, const char *what)
 {
     std::printf("==============================================\n");
     std::printf("%s — %s\n", experiment, what);
-    std::printf("(reduced DSE budget: OVERGEN_BENCH_ITERS=%d)\n",
-                benchIterations());
+    if (std::getenv("OVERGEN_BENCH_ITERS") != nullptr) {
+        std::printf("(reduced DSE budget: OVERGEN_BENCH_ITERS=%d)\n",
+                    benchIterations());
+    }
     std::printf("==============================================\n");
 }
 

@@ -3,10 +3,11 @@
 
 /**
  * @file
- * A small multi-layer perceptron with SGD + momentum training, used by
- * the component-level FPGA resource model (paper §V-D: a 3-layer MLP
- * trained on out-of-context synthesis results). Self-contained: feature
- * standardization and log-scaled targets are handled internally.
+ * A small multi-layer perceptron trained by per-sample SGD with
+ * momentum, used by the component-level FPGA resource model (paper
+ * §V-D: a 3-layer MLP trained on out-of-context synthesis results).
+ * Self-contained: feature standardization and log-scaled targets are
+ * handled internally.
  */
 
 #include <cstdint>
@@ -17,13 +18,14 @@
 
 namespace overgen::model {
 
-/** Training hyperparameters. */
+/** Training hyperparameters. Every training sample is one SGD step
+ * (there are no mini-batches). */
 struct MlpTrainConfig
 {
     int epochs = 160;
+    /** Step size of epoch 0; epoch e uses learningRate / (1 + 0.02e). */
     double learningRate = 0.004;
     double momentum = 0.9;
-    int batchSize = 16;
     /** Fraction of data held out for validation (paper: 80/10/10). */
     double validationFraction = 0.1;
 };
@@ -61,6 +63,10 @@ class Mlp
     /** @return number of trainable parameters. */
     int parameterCount() const;
 
+    /** Momentum updates (weights and biases) the last train() took
+     * on the integer subnormal path (see decaySubnormal()). */
+    uint64_t integerDecays() const { return integerDecayCount; }
+
   private:
     struct Layer
     {
@@ -72,9 +78,10 @@ class Mlp
         std::vector<double> biasVel;
     };
 
-    std::vector<double> forward(std::span<const double> input,
-                                std::vector<std::vector<double>>
-                                    *activations) const;
+    /** Forward pass: @p acts[0] holds the input on entry; on return
+     * acts[l + 1] holds layer l's output (acts is resized to fit,
+     * reusing its buffers across calls). */
+    void forward(std::vector<std::vector<double>> &acts) const;
     void standardize(std::vector<double> &features) const;
 
     std::vector<Layer> layers;
@@ -83,8 +90,18 @@ class Mlp
     std::vector<double> targetMean;  //!< in log1p space
     std::vector<double> targetStd;
     double valError = 0.0;
+    uint64_t integerDecayCount = 0;
     Rng rng;
 };
+
+/**
+ * @p momentum * @p v, rounded to nearest-even exactly as the hardware
+ * multiply rounds it, computed in integer arithmetic so that it never
+ * takes the slow subnormal path of the floating-point unit.
+ * Preconditions: @p v is subnormal and 0.5 <= @p momentum < 1. The
+ * result is subnormal or a signed zero.
+ */
+double decaySubnormal(double momentum, double v);
 
 } // namespace overgen::model
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "common/hash.h"
 #include "model/mlp.h"
 
 namespace overgen::model {
@@ -70,6 +73,104 @@ TEST(Mlp, DeterministicTraining)
     auto pa = a.predict(std::vector<double>{ 50.0 });
     auto pb = b.predict(std::vector<double>{ 50.0 });
     EXPECT_DOUBLE_EQ(pa[0], pb[0]);
+}
+
+// A training whose dead ReLU units decay their momentum through the
+// subnormal range: the weights, and so the validation error and every
+// prediction, must come out bit for bit as pinned.
+TEST(Mlp, TrainingPinned)
+{
+    Rng rng(5);
+    std::vector<std::vector<double>> x, y;
+    for (int i = 0; i < 1200; ++i) {
+        double a = rng.nextDouble() * 8.0;
+        double b = rng.nextDouble() * 8.0;
+        x.push_back({ a, b });
+        y.push_back({ a * b + a * a, a + 3.0 * b });
+    }
+    Mlp mlp(2, { 32, 16 }, 2, 11);
+    double err = mlp.train(x, y);
+    hash::Fnv64 digest;
+    for (double a = 0.0; a < 8.0; a += 0.25) {
+        for (double b = 0.0; b < 8.0; b += 0.25) {
+            for (double v : mlp.predict(std::vector<double>{ a, b }))
+                digest.mix(std::bit_cast<uint64_t>(v));
+        }
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(err), 0x3f89311de2d1f256ull);
+    EXPECT_EQ(digest.value(), 0xdb9cbb22c4817622ull);
+    // The pin covers the integer subnormal-decay path.
+    EXPECT_GT(mlp.integerDecays(), 0u);
+}
+
+/** Bit pattern of @p v. */
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+/** The subnormal with mantissa @p m (zero for m == 0). */
+double
+subnormal(uint64_t m, bool negative)
+{
+    return std::bit_cast<double>((negative ? 1ull << 63 : 0) | m);
+}
+
+const double kMomenta[] = { 0.5, 0.75, 0.9, 0.99 };
+
+TEST(MlpSubnormalDecay, MatchesHardwareForSmallMantissas)
+{
+    for (double momentum : kMomenta) {
+        for (bool negative : { false, true }) {
+            for (uint64_t m = 1; m <= (1u << 16); ++m) {
+                double v = subnormal(m, negative);
+                ASSERT_EQ(bits(decaySubnormal(momentum, v)),
+                          bits(momentum * v))
+                    << "momentum " << momentum << " m " << m;
+            }
+        }
+    }
+}
+
+TEST(MlpSubnormalDecay, MatchesHardwareForSampledMantissas)
+{
+    Rng rng(17);
+    for (double momentum : kMomenta) {
+        for (int n = 0; n < 200000; ++n) {
+            uint64_t m = 1 + rng.nextBelow((1ull << 52) - 1);
+            double v = subnormal(m, rng.nextBool());
+            ASSERT_EQ(bits(decaySubnormal(momentum, v)),
+                      bits(momentum * v))
+                << "momentum " << momentum << " m " << m;
+        }
+    }
+}
+
+TEST(MlpSubnormalDecay, RoundsExactTiesToEven)
+{
+    // 0.5 * m is exactly halfway between two subnormals for odd m,
+    // and 0.75 * m is for m = 2 mod 4: ties go to the even mantissa.
+    for (bool negative : { false, true }) {
+        auto decayed = [negative](double momentum, uint64_t m) {
+            return bits(decaySubnormal(momentum, subnormal(m, negative)));
+        };
+        EXPECT_EQ(decayed(0.5, 1), bits(subnormal(0, negative)));
+        EXPECT_EQ(decayed(0.5, 3), bits(subnormal(2, negative)));
+        EXPECT_EQ(decayed(0.5, 5), bits(subnormal(2, negative)));
+        EXPECT_EQ(decayed(0.75, 2), bits(subnormal(2, negative)));
+        EXPECT_EQ(decayed(0.75, 6), bits(subnormal(4, negative)));
+        // Odd m of every width up to the largest subnormal mantissa.
+        for (uint64_t m = 1; m < (1ull << 52); m = 2 * m + 1) {
+            EXPECT_EQ(decayed(0.5, m), bits(0.5 * subnormal(m, negative)))
+                << m;
+            if (2 * m < (1ull << 52)) {
+                EXPECT_EQ(decayed(0.75, 2 * m),
+                          bits(0.75 * subnormal(2 * m, negative)))
+                    << m;
+            }
+        }
+    }
 }
 
 TEST(Mlp, PredictionsNonNegative)

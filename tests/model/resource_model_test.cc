@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "adg/builders.h"
+#include "common/hash.h"
 #include "model/oracle.h"
 #include "model/resource_model.h"
 
@@ -21,6 +25,89 @@ testModel()
         return FpgaResourceModel::train(config);
     }();
     return model;
+}
+
+/**
+ * Digest of nodeResources() over a fixed, seeded set of PE, switch
+ * and port nodes: every predicted field's bit pattern, in order.
+ */
+uint64_t
+predictionDigest(const FpgaResourceModel &model)
+{
+    Rng rng(2024);
+    const auto &ops = allOpcodes();
+    const DataType types[] = { DataType::I8,  DataType::I16,
+                               DataType::I32, DataType::I64,
+                               DataType::F32, DataType::F64 };
+    hash::Fnv64 digest;
+    for (int i = 0; i < 20000; ++i) {
+        adg::Node node;
+        int radix = static_cast<int>(rng.nextRange(2, 10));
+        switch (rng.nextBelow(4)) {
+          case 0: {
+            node.kind = adg::NodeKind::Pe;
+            adg::PeSpec pe;
+            pe.datapathBytes = 8 << rng.nextBelow(4);
+            pe.maxDelayFifoDepth = static_cast<int>(rng.nextRange(2, 16));
+            pe.controlLut = rng.nextBool();
+            int caps = static_cast<int>(rng.nextRange(1, 12));
+            for (int c = 0; c < caps; ++c) {
+                pe.capabilities.insert({ ops[rng.nextBelow(ops.size())],
+                                         types[rng.nextBelow(6)] });
+            }
+            node.spec = pe;
+            break;
+          }
+          case 1:
+            node.kind = adg::NodeKind::Switch;
+            node.spec = adg::SwitchSpec{ 8 << rng.nextBelow(4) };
+            break;
+          default: {
+            node.kind = rng.nextBool() ? adg::NodeKind::InPort
+                                       : adg::NodeKind::OutPort;
+            adg::PortSpec port;
+            port.widthBytes = 4 << rng.nextBelow(5);
+            port.fifoDepth = static_cast<int>(rng.nextRange(2, 32));
+            port.padding = rng.nextBool();
+            port.statedStream = rng.nextBool();
+            node.spec = port;
+            break;
+          }
+        }
+        Resources r = model.nodeResources(node, radix);
+        for (double field : { r.lut, r.ff, r.bram, r.dsp })
+            digest.mix(std::bit_cast<uint64_t>(field));
+    }
+    return digest.value();
+}
+
+/** Pin a trained model bit for bit: the four validation errors'
+ * bit patterns and the prediction digest. */
+void
+expectPinned(const FpgaResourceModel &model, uint64_t pe, uint64_t sw,
+             uint64_t in_port, uint64_t out_port, uint64_t digest)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(model.peError()), pe);
+    EXPECT_EQ(std::bit_cast<uint64_t>(model.switchError()), sw);
+    EXPECT_EQ(std::bit_cast<uint64_t>(model.inPortError()), in_port);
+    EXPECT_EQ(std::bit_cast<uint64_t>(model.outPortError()), out_port);
+    EXPECT_EQ(predictionDigest(model), digest);
+}
+
+// Training must stay bit-identical: the DSE prices every candidate
+// with these weights, so one flipped bit can change a trajectory.
+TEST(ResourceModel, ReducedConfigPinned)
+{
+    expectPinned(testModel(), 0x3fb4b7b1e22de74aull, 0x3f7eccff58f0fe44ull,
+                 0x3f9cfb1858c34f13ull, 0x3f9a37a9066af51eull,
+                 0x843720109679a83aull);
+}
+
+TEST(ResourceModel, DefaultModelPinned)
+{
+    expectPinned(FpgaResourceModel::defaultModel(), 0x3faf36717642a8e0ull,
+                 0x3f62b9feec906a2cull, 0x3f9075b715365897ull,
+                 0x3f91478706a9cc48ull, 0xc37b79eaaadbf4cbull);
 }
 
 TEST(ResourceModel, ValidationErrorsReasonable)
