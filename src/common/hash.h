@@ -8,8 +8,8 @@
  *
  *  - FNV-1a (64-bit): fnv1a() hashes a byte string; Fnv64 applies the
  *    same xor-then-multiply step to whole 64-bit words, which is how
- *    the state digests (configDigest, component fingerprints, the
- *    warm-sim key) absorb fields.
+ *    the state digests (configDigest, component fingerprints) absorb
+ *    fields.
  *  - splitmix64 (Steele, Lea and Flood): splitmix64() steps a
  *    generator state; mix64() is the same step applied to a copy, a
  *    full-avalanche mix of one word.

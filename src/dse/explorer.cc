@@ -12,7 +12,6 @@
 #include "sim/batch.h"
 #include "compiler/compile.h"
 #include "dse/mutations.h"
-#include "dse/sim_cache.h"
 #include "model/oracle.h"
 #include "telemetry/sink.h"
 
@@ -22,10 +21,50 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/**
+ * Speculation width: candidates mutated from the current design and
+ * evaluated per annealing round. Part of the seeded algorithm
+ * (changing it changes the trajectory; changing DseOptions::threads
+ * does not). Candidates after an accepted one in a round are
+ * discarded unexamined — their mutations were drawn against a stale
+ * base — so wider speculation trades redundant evaluations for
+ * parallelism.
+ */
+constexpr int kSpeculation = 8;
+
+/** Resource budget fraction of the device. */
+constexpr double kBudgetFraction = 0.97;
+
+/**
+ * Phase mode + validateFinal: a kernel whose modeled steady fraction
+ * S/(S+R) on the final design falls below this threshold is
+ * ramp-dominated — the analytic model's steady-state lens is
+ * unreliable for it, so the explorer refines its final mapping by
+ * *measured* whole-run cycles (simulating each schedulable variant,
+ * adopting a strictly faster one; ties keep the annealer's mapping).
+ * Short kernels simulate in microseconds, so the pass is cheap. The
+ * threshold trusts the model only once the modeled steady span is at
+ * least three times the ramp (long kernels sit near 1.0 and are
+ * always exempt).
+ */
+constexpr double kPhaseShortSteadyFraction = 0.75;
+
 double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * Model-estimated steady fraction S/(S+R) of one kernel: S is the
+ * steady span @p iterations / @p rate (0 when the rate is not
+ * positive) and R the model ramp @p ramp cycles; 0 when S is.
+ */
+double
+steadyFraction(double iterations, double rate, double ramp)
+{
+    double steady = rate > 0.0 ? iterations / rate : 0.0;
+    return steady > 0.0 ? steady / (steady + ramp) : 0.0;
 }
 
 /** State of one candidate evaluation. */
@@ -248,7 +287,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                             total += model::synthesizeUncore(sys);
                             double util =
                                 device.worstUtilization(total);
-                            if (util > options.budgetFraction) {
+                            if (util > kBudgetFraction) {
                                 // Larger channel counts only grow.
                                 pruned += nc - ci - 1;
                                 l2_over = ci == 0;
@@ -268,14 +307,10 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                                 perf[k] = model::combineSystemPerf(
                                     summaries[k], sys, options.perf);
                                 perf[k].ipc *= throughput[k];
-                                double rate = perf[k].workRate *
-                                              throughput[k];
-                                double steady =
-                                    rate > 0.0 ? iters[k] / rate : 0.0;
-                                double frac =
-                                    steady > 0.0
-                                        ? steady / (steady + ramp[k])
-                                        : 0.0;
+                                double frac = steadyFraction(
+                                    iters[k],
+                                    perf[k].workRate * throughput[k],
+                                    ramp[k]);
                                 frac_min = std::min(frac_min, frac);
                                 frac_sum += frac;
                                 if (phase_mode)
@@ -394,7 +429,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         record.set("abandoned", Json(abandoned));
         record.set("utilization", Json(state.utilization));
         record.set("resource_slack",
-                   Json(options.budgetFraction - state.utilization));
+                   Json(kBudgetFraction - state.utilization));
         // Phase features of the logged state — deterministic model
         // quantities (not wall-clock-flavored), present under both
         // objectives.
@@ -419,7 +454,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     };
 
     // Batched speculative annealing (see DESIGN.md "Determinism
-    // under parallelism"): each round draws `speculation` candidate
+    // under parallelism"): each round draws `kSpeculation` candidate
     // mutations from per-candidate Rng streams split off the master
     // seed, evaluates them concurrently (schedule repair + nested
     // system DSE + objective), then applies accept decisions in fixed
@@ -428,7 +463,6 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // invalidates the rest of its round — those candidates were
     // mutated from the superseded base design — so they are
     // discarded unexamined without consuming iteration budget.
-    const int speculation = std::max(1, options.speculation);
     ThreadPool pool(options.threads);
 
     /** One speculated candidate: its private rng stream (mutation
@@ -486,7 +520,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     double temperature = options.initialTemperature;
     int examined = 0;
     while (examined < options.iterations) {
-        int width = std::min(speculation,
+        int width = std::min(kSpeculation,
                              options.iterations - examined);
         // Split per-candidate seeds off the master stream in slot
         // order, before any (unordered) parallel work.
@@ -569,7 +603,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // ramp-dominated mappings. The annealer scores candidates with
     // the analytic steady-state model; for a kernel whose modeled
     // steady fraction S/(S+R) on the final design is below
-    // phaseShortSteadyFraction, most of the run is ramp — exactly the
+    // kPhaseShortSteadyFraction, most of the run is ramp — exactly the
     // regime the steady-state model does not capture (dispatcher
     // startup, DRAM fill, placement-sensitive drain). Such kernels
     // finish in a few hundred cycles, so instead of trusting the
@@ -579,8 +613,7 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
     // regresses. Deterministic: serial scan in variant order, no RNG,
     // no dependence on the thread count.
     if (options.objective == DseObjective::Phase &&
-        options.validateFinal &&
-        options.phaseShortSteadyFraction > 0.0) {
+        options.validateFinal) {
         adg::SysAdg final_design;
         final_design.adg = best.adg;
         final_design.sys = best.sys;
@@ -602,14 +635,11 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
                 best.schedules[k], best.adg, m0);
             model::PerfBreakdown b = model::estimateIpc(
                 input, best.adg, best.sys, options.perf);
-            double rate =
-                b.workRate * best.schedules[k].throughputFactor();
-            double steady = rate > 0.0 ? iters / rate : 0.0;
-            double ramp0 =
-                model::estimateRampCycles(m0, options.phase);
-            double frac =
-                steady > 0.0 ? steady / (steady + ramp0) : 0.0;
-            if (frac >= options.phaseShortSteadyFraction)
+            double frac = steadyFraction(
+                iters,
+                b.workRate * best.schedules[k].throughputFactor(),
+                model::estimateRampCycles(m0, options.phase));
+            if (frac >= kPhaseShortSteadyFraction)
                 continue;  // long enough to trust the model
             wl::Memory memory;
             memory.init(kernels[k]);
@@ -664,78 +694,30 @@ exploreOverlay(const std::vector<wl::KernelSpec> &kernels,
         mapping.bottleneck = b.bottleneck;
         mapping.estimatedRampCycles =
             model::estimateRampCycles(m, options.phase);
-        double rate =
-            b.workRate * best.schedules[k].throughputFactor();
-        double steady =
-            rate > 0.0
-                ? static_cast<double>(
-                      std::max<int64_t>(kernels[k].totalIterations(),
-                                        1)) /
-                      rate
-                : 0.0;
-        mapping.estimatedSteadyFraction =
-            steady > 0.0
-                ? steady / (steady + mapping.estimatedRampCycles)
-                : 0.0;
+        mapping.estimatedSteadyFraction = steadyFraction(
+            static_cast<double>(
+                std::max<int64_t>(kernels[k].totalIterations(), 1)),
+            b.workRate * best.schedules[k].throughputFactor(),
+            mapping.estimatedRampCycles);
         result.mappings.push_back(std::move(mapping));
         result.schedules.push_back(best.schedules[k]);
         result.mdfgs.push_back(m);
     }
     // Optional final validation: one batched cycle-simulation sweep
     // over the chosen mappings, sharing the explorer's thread budget.
-    // With a warm-sim cache, each simulation is memoized by its full
-    // input identity: repeats are served from the cache and truncated
-    // earlier runs resume from their last checkpoint instead of
-    // starting over — bit-identical results either way (see
-    // dse/sim_cache.h).
     if (options.validateFinal) {
-        std::vector<sim::SimResult> sims;
-        if (options.simCache != nullptr) {
-            struct Validated
-            {
-                sim::SimResult result;
-                WarmSimReport report;
-            };
-            ThreadPool pool(options.threads);
-            std::vector<Validated> runs = pool.parallelMap(
-                kernels.size(), [&](size_t k) {
-                    Validated v;
-                    v.result = warmSimulate(
-                        options.simCache, kernels[k],
-                        result.mdfgs[k], result.schedules[k],
-                        result.design, sim::SimConfig{},
-                        options.simCacheCheckpointEvery, &v.report);
-                    return v;
-                });
-            for (Validated &v : runs) {
-                switch (v.report.how) {
-                case WarmSimOutcome::Miss:
-                    ++result.simMisses;
-                    break;
-                case WarmSimOutcome::TerminalHit:
-                    ++result.simTerminalHits;
-                    break;
-                case WarmSimOutcome::Resumed:
-                    ++result.simResumes;
-                    result.simCyclesSkipped += v.report.cyclesSkipped;
-                    break;
-                }
-                sims.push_back(std::move(v.result));
-            }
-        } else {
-            std::vector<sim::SimJob> jobs;
-            for (size_t k = 0; k < kernels.size(); ++k) {
-                sim::SimJob job;
-                job.spec = &kernels[k];
-                job.mdfg = &result.mdfgs[k];
-                job.schedule = &result.schedules[k];
-                job.design = &result.design;
-                jobs.push_back(job);
-            }
-            sim::BatchOptions batch;
-            batch.threads = options.threads;
-            sims = sim::runBatch(jobs, batch);
+        std::vector<sim::SimJob> jobs;
+        for (size_t k = 0; k < kernels.size(); ++k) {
+            sim::SimJob job;
+            job.spec = &kernels[k];
+            job.mdfg = &result.mdfgs[k];
+            job.schedule = &result.schedules[k];
+            job.design = &result.design;
+            jobs.push_back(job);
         }
+        sim::BatchOptions batch;
+        batch.threads = options.threads;
+        std::vector<sim::SimResult> sims = sim::runBatch(jobs, batch);
         for (size_t k = 0; k < sims.size(); ++k) {
             KernelMapping &mapping = result.mappings[k];
             mapping.simulated = true;

@@ -25,8 +25,6 @@ class Sink;
 
 namespace overgen::dse {
 
-class WarmSimCache;
-
 /** How the explorer scores a candidate's per-kernel IPC estimates. */
 enum class DseObjective : int
 {
@@ -66,18 +64,6 @@ struct DseOptions
      * (see DESIGN.md "Determinism under parallelism").
      */
     int threads = 1;
-    /**
-     * Speculation width: candidates mutated from the current design
-     * and evaluated per annealing round. Part of the seeded
-     * algorithm (changing it changes the trajectory; changing
-     * `threads` does not). Candidates after an accepted one in a
-     * round are discarded unexamined — their mutations were drawn
-     * against a stale base — so wider speculation trades redundant
-     * evaluations for parallelism.
-     */
-    int speculation = 8;
-    /** Resource budget fraction of the device. */
-    double budgetFraction = 0.97;
     /** Enable schedule-preserving transformations (Fig. 20 ablation). */
     bool schedulePreserving = true;
     /** Apply OverGen source tuning when compiling variants. */
@@ -99,19 +85,6 @@ struct DseOptions
     /** Ramp cost constants for DseObjective::Phase. */
     model::PhaseWeights phase;
     /**
-     * Phase mode + validateFinal: a kernel whose modeled steady
-     * fraction S/(S+R) on the final design falls below this threshold
-     * is ramp-dominated — the analytic model's steady-state lens is
-     * unreliable for it, so the explorer refines its final mapping by
-     * *measured* whole-run cycles (simulating each schedulable
-     * variant, adopting a strictly faster one; ties keep the
-     * annealer's mapping). Short kernels simulate in microseconds, so
-     * the pass is cheap; 0 disables it. The default trusts the model
-     * only once the modeled steady span is at least three times the
-     * ramp (long kernels sit near 1.0 and are always exempt).
-     */
-    double phaseShortSteadyFraction = 0.75;
-    /**
      * Cycle-simulate every kernel on the final design after the
      * anneal (sim::runBatch over `threads` workers) and record the
      * measured cycles/IPC next to the model estimate in each
@@ -119,22 +92,6 @@ struct DseOptions
      * simulates, so this only adds one batched sweep at the end.
      */
     bool validateFinal = false;
-    /**
-     * Warm-started incremental validation (used only with
-     * validateFinal): final-design simulations are memoized here by
-     * their full input identity (see dse/sim_cache.h). Across
-     * explorations of a growing domain, a kernel whose mapping is
-     * unchanged reuses its terminal result outright, and one whose
-     * earlier validation was truncated at a smaller cycle budget
-     * resumes from its last checkpoint, simulating only the unseen
-     * suffix. Bit-identical to cold validation in every case. Null
-     * keeps the plain runBatch sweep. Shareable across concurrent
-     * explorations (thread-safe).
-     */
-    WarmSimCache *simCache = nullptr;
-    /** Checkpoint cadence for cache-filling validation runs, in
-     * cycles (0 derives maxCycles/16; see dse/sim_cache.h). */
-    uint64_t simCacheCheckpointEvery = 0;
 
     /**
      * Telemetry sink: when live, the explorer appends one JSONL
@@ -219,15 +176,6 @@ struct DseResult
     /** System-grid points skipped by monotone budget pruning (a
      * deterministic function of the trajectory). */
     uint64_t gridPruned = 0;
-    /** @name Warm-validation traffic for THIS call (zero without
-     * DseOptions::simCache; observability only) */
-    /// @{
-    uint64_t simTerminalHits = 0;  //!< validations served from cache
-    uint64_t simResumes = 0;       //!< validations resumed mid-run
-    uint64_t simMisses = 0;        //!< validations simulated cold
-    /** Cycles the resumed validations did not re-simulate. */
-    uint64_t simCyclesSkipped = 0;
-    /// @}
     double elapsedSeconds = 0.0;
 };
 

@@ -110,7 +110,8 @@ SimResult resumeFrom(const Snapshot &snap, const wl::KernelSpec &spec,
  *    per-cycle evolution, so a checkpoint from a truncated
  *    probe-horizon run is exactly the state a longer-budget run
  *    passes through — resuming it with more budget simulates only
- *    the unseen suffix (the DSE's incremental evaluation).
+ *    the unseen suffix (pinned by tests/sim/snapshot_test.cc,
+ *    SnapshotResumeExtra.TruncatedRunResumesUnderLargerBudget).
  */
 uint64_t configDigest(const SimConfig &config);
 

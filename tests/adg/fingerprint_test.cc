@@ -10,11 +10,10 @@ namespace overgen::adg {
 namespace {
 
 /**
- * Adg::fingerprint keys the overlay library and the warm-sim cache
- * (see DESIGN.md "Model split and grid pruning"): equal live
- * structure must hash equal regardless of mutation history, any
- * single perturbation must change the value, and two salts must give
- * independent values.
+ * Adg::fingerprint keys the overlay library (see DESIGN.md "Model
+ * split and grid pruning"): equal live structure must hash equal
+ * regardless of mutation history, any single perturbation must change
+ * the value, and two salts must give independent values.
  */
 
 PeSpec
@@ -149,9 +148,8 @@ TEST(Fingerprint, SaltChangesTheValue)
 
 TEST(Fingerprint, PairMatchesSingleSaltEvaluations)
 {
-    // fingerprintPair is the one-traversal form the library and the
-    // warm-sim cache use; each half must equal the standalone
-    // fingerprint at that salt.
+    // fingerprintPair is the one-traversal form the library uses;
+    // each half must equal the standalone fingerprint at that salt.
     Adg adg = probeTile();
     auto [a, b] = adg.fingerprintPair(0, 0x517cc1b727220a95ull);
     EXPECT_EQ(a, adg.fingerprint(0));
@@ -165,8 +163,7 @@ TEST(Fingerprint, CollisionSanityAcrossMutationNeighborhood)
 {
     // Walk a neighborhood of single-parameter variants of a realistic
     // mesh tile and require all fingerprints distinct — the library
-    // and the warm-sim cache treat equal fingerprints as equal
-    // designs.
+    // treats equal fingerprints as equal designs.
     std::set<uint64_t> seen;
     int total = 0;
     for (int width : { 8, 16, 32 }) {

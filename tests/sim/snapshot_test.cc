@@ -498,6 +498,33 @@ TEST(SnapshotResumeExtra, ResumedRunEmitsOnlySuffixCheckpoints)
         EXPECT_GT(cycle, collector.cycles[mid]);
 }
 
+TEST(SnapshotResumeExtra, TruncatedRunResumesUnderLargerBudget)
+{
+    // configDigest leaves maxCycles out: a run cut short by its cycle
+    // budget checkpoints exactly the state a longer run passes
+    // through, so its last checkpoint resumes under the default
+    // budget and simulates only the unseen suffix.
+    Compiled c = compileFor("accumulate", 1);
+    SimRun cold = runWith(c, SimConfig{});
+    ASSERT_TRUE(cold.result.completed);
+
+    LatestSnapshotSink latest;
+    SimConfig probe;
+    probe.maxCycles = cold.result.cycles / 2;
+    probe.checkpointEvery = 32;
+    probe.checkpointSink = &latest;
+    SimRun truncated = runWith(c, probe);
+    EXPECT_FALSE(truncated.result.completed);
+    EXPECT_FALSE(truncated.result.deadlocked);
+    ASSERT_TRUE(latest.hasSnapshot());
+    EXPECT_GT(latest.cycle, 0u);
+
+    SimRun resumed = resumeWith(c, latest.latest, SimConfig{});
+    expectIdentical(cold.result, resumed.result, "truncated-resume");
+    expectSameArrays(c, cold.memory, resumed.memory,
+                     "truncated-resume");
+}
+
 using SnapshotResumeDeathTest = ::testing::Test;
 
 TEST(SnapshotResumeDeathTest, UnsealedSnapshotIsFatal)
